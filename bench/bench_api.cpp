@@ -10,90 +10,21 @@
 // allocs per delivered object.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_common.hpp"
 #include "core/interop.hpp"
-
-// --- global allocation counter ----------------------------------------------
-// Counts every operator new in the process so benchmarks can report
-// allocations per iteration; the acceptance bar for the cached verdict and
-// dispatch paths is exactly zero.
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) & ~(a - 1))) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
 using namespace pti;
+using bench::measure_allocs;
 using core::InteropRuntime;
 using core::InteropSystem;
 using core::TypeHandle;
 using reflect::Value;
-
-/// Runs the benchmark loop while tracking operator-new calls and reports
-/// them as the "allocs_per_iter" counter.
-template <typename Body>
-void measure_allocs(benchmark::State& state, Body&& body) {
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) body();
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-  state.counters["allocs_per_iter"] =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(after - before) / static_cast<double>(state.iterations());
-}
 
 /// One runtime with both teams' types loaded — the steady-state picture of
 /// a peer after the optimistic protocol has run.

@@ -28,6 +28,11 @@ void push_failure(std::vector<std::string>& failures, std::string message) {
   if (failures.size() < kMaxFailures) failures.push_back(std::move(message));
 }
 
+/// A name using the wildcard extension (`*` or `?`).
+bool has_wildcards(std::string_view name) {
+  return name.find_first_of("*?") != std::string_view::npos;
+}
+
 }  // namespace
 
 /// Per-top-level-check state shared across the recursion. All pair keys
@@ -51,6 +56,104 @@ struct ConformanceChecker::Ctx {
   int depth = 0;
 };
 
+/// The member names of one aspect (fields or methods) of one check. Under
+/// MemberNameRule::TokenSubset each name is also tokenized here, once,
+/// instead of once per (target, source) pair: its tokens are kept as
+/// spans of the name, sorted case-insensitively and de-duplicated, plus a
+/// 64-bit signature with one hashed bit per token. Matching a target
+/// against every source is then a signature prefilter (subset either way
+/// needs `(a & ~b) == 0` or `(b & ~a) == 0`) and, for the pairs it lets
+/// through, a sorted-subset walk — no allocation per pair or per token.
+/// Scratch for one check_fields/check_methods call; the result is
+/// util::token_subset_match's, which the tests hold it to.
+class ConformanceChecker::MemberNames {
+ public:
+  template <typename Members>
+  MemberNames(const Members& source, const Members& target, bool tokenize)
+      : source_count_(source.size()), tokenized_(tokenize) {
+    names_.reserve(source.size() + target.size());
+    for (const auto& member : source) names_.emplace_back(member.name);
+    for (const auto& member : target) names_.emplace_back(member.name);
+    if (tokenized_) build_tokens();
+  }
+
+  [[nodiscard]] std::size_t source_count() const noexcept { return source_count_; }
+  [[nodiscard]] std::string_view source(std::size_t i) const { return names_[i]; }
+  [[nodiscard]] std::string_view target(std::size_t j) const {
+    return names_[source_count_ + j];
+  }
+  [[nodiscard]] bool tokenized() const noexcept { return tokenized_; }
+
+  /// Replaces `matches` with the indices, ascending, of the source members
+  /// i for which util::token_subset_match(source(i), target(j)) holds.
+  /// Requires tokenized().
+  void match_tokens(std::size_t j, std::vector<std::size_t>& matches) const {
+    const Row& b = rows_[source_count_ + j];
+    const std::uint64_t sb = signatures_[source_count_ + j];
+    matches.clear();
+    for (std::size_t i = 0; i < source_count_; ++i) {
+      const std::uint64_t sa = signatures_[i];
+      if ((sa & ~sb) != 0 && (sb & ~sa) != 0) continue;  // neither can be a subset
+      if (rows_match(rows_[i], b)) matches.push_back(i);
+    }
+  }
+
+ private:
+  /// 2^64 / golden ratio. FNV's top bits barely change between short
+  /// tokens; multiplying first spreads them before the top six pick the
+  /// signature bit.
+  static constexpr std::uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
+
+  /// One name's tokens: tokens_[begin, end).
+  struct Row {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  void build_tokens() {
+    tokens_.reserve(2 * names_.size());
+    rows_.reserve(names_.size());
+    signatures_.reserve(names_.size());
+    for (const std::string_view name : names_) {
+      const auto begin = static_cast<std::uint32_t>(tokens_.size());
+      std::uint64_t signature = 0;
+      util::for_each_identifier_token(name, [&](std::string_view token) {
+        tokens_.push_back(token);
+        signature |= std::uint64_t{1} << ((util::fold_hash(token) * kSpread) >> 58);
+      });
+      const auto first = tokens_.begin() + begin;
+      std::sort(first, tokens_.end(), util::iless);
+      tokens_.erase(std::unique(first, tokens_.end(), util::iequals), tokens_.end());
+      rows_.push_back(Row{begin, static_cast<std::uint32_t>(tokens_.size())});
+      signatures_.push_back(signature);
+    }
+  }
+
+  /// util::token_subset_match on two rows: set inclusion either way, and a
+  /// token-less name matches only another token-less name.
+  [[nodiscard]] bool rows_match(const Row& a, const Row& b) const {
+    const bool a_empty = a.begin == a.end;
+    const bool b_empty = b.begin == b.end;
+    if (a_empty || b_empty) return a_empty && b_empty;
+    return includes(b, a) || includes(a, b);
+  }
+
+  /// Every token of `small` is among the tokens of `big`.
+  [[nodiscard]] bool includes(const Row& big, const Row& small) const {
+    const auto t = tokens_.begin();
+    return std::includes(t + big.begin, t + big.end, t + small.begin, t + small.end,
+                         util::iless);
+  }
+
+  std::vector<std::string_view> names_;
+  std::size_t source_count_;
+  bool tokenized_;
+  std::vector<std::string_view> tokens_;
+  std::vector<Row> rows_;
+  /// Parallel to rows_: the prefilter scans only this dense array.
+  std::vector<std::uint64_t> signatures_;
+};
+
 ConformanceChecker::ConformanceChecker(reflect::TypeResolver& resolver,
                                        ConformanceOptions options, ConformanceCache* cache)
     : resolver_(resolver),
@@ -66,8 +169,7 @@ bool ConformanceChecker::equivalent(const TypeDescription& source,
 
 bool ConformanceChecker::name_conforms(std::string_view source_name,
                                        std::string_view target_name) const {
-  if (options_.allow_wildcards &&
-      target_name.find_first_of("*?") != std::string_view::npos) {
+  if (options_.allow_wildcards && has_wildcards(target_name)) {
     return util::wildcard_match(target_name, source_name);
   }
   return util::levenshtein_within(source_name, target_name, options_.max_name_distance,
@@ -76,21 +178,29 @@ bool ConformanceChecker::name_conforms(std::string_view source_name,
 
 bool ConformanceChecker::member_name_conforms(std::string_view source_name,
                                               std::string_view target_name) const {
-  if (options_.allow_wildcards &&
-      target_name.find_first_of("*?") != std::string_view::npos) {
+  if (options_.allow_wildcards && has_wildcards(target_name)) {
     return util::wildcard_match(target_name, source_name);
   }
-  switch (options_.member_name_rule) {
-    case MemberNameRule::Exact:
-      return util::levenshtein_within(source_name, target_name,
-                                      options_.max_name_distance, true);
-    case MemberNameRule::Contains:
-      return util::icontains(source_name, target_name) ||
-             util::icontains(target_name, source_name);
-    case MemberNameRule::TokenSubset:
-      return util::token_subset_match(source_name, target_name);
+  if (options_.member_name_rule == MemberNameRule::Contains) {
+    return util::icontains(source_name, target_name) ||
+           util::icontains(target_name, source_name);
   }
-  return false;
+  return util::levenshtein_within(source_name, target_name, options_.max_name_distance,
+                                  /*case_insensitive=*/true);
+}
+
+void ConformanceChecker::matching_member_names(const MemberNames& names,
+                                               std::size_t target_index,
+                                               std::vector<std::size_t>& matches) const {
+  const std::string_view target_name = names.target(target_index);
+  if (names.tokenized() && !(options_.allow_wildcards && has_wildcards(target_name))) {
+    names.match_tokens(target_index, matches);
+    return;
+  }
+  matches.clear();
+  for (std::size_t i = 0; i < names.source_count(); ++i) {
+    if (member_name_conforms(names.source(i), target_name)) matches.push_back(i);
+  }
 }
 
 CheckResult ConformanceChecker::check(const TypeDescription& source,
@@ -409,10 +519,16 @@ bool ConformanceChecker::check_fields(const TypeDescription& source,
                                       const TypeDescription& target, Ctx& ctx,
                                       ConformancePlan& plan,
                                       std::vector<std::string>& failures) {
-  for (const auto& tgt_field : target.fields()) {
+  if (target.fields().empty()) return true;  // spares tokenizing the source's names
+  const MemberNames names(source.fields(), target.fields(),
+                          options_.member_name_rule == MemberNameRule::TokenSubset);
+  std::vector<std::size_t> name_matches;
+  for (std::size_t j = 0; j < target.fields().size(); ++j) {
+    const FieldDescription& tgt_field = target.fields()[j];
+    matching_member_names(names, j, name_matches);
     std::vector<const FieldDescription*> candidates;
-    for (const auto& src_field : source.fields()) {
-      if (!member_name_conforms(src_field.name, tgt_field.name)) continue;
+    for (const std::size_t i : name_matches) {
+      const FieldDescription& src_field = source.fields()[i];
       if (src_field.is_static != tgt_field.is_static) continue;
       if (!ref_conforms(src_field.type_name, source.namespace_name(), tgt_field.type_name,
                         target.namespace_name(), ctx)) {
@@ -509,16 +625,22 @@ bool ConformanceChecker::check_methods(const TypeDescription& source,
                                        const TypeDescription& target, Ctx& ctx,
                                        ConformancePlan& plan,
                                        std::vector<std::string>& failures) {
-  for (const auto& tgt_method : target.methods()) {
+  if (target.methods().empty()) return true;  // spares tokenizing the source's names
+  const MemberNames names(source.methods(), target.methods(),
+                          options_.member_name_rule == MemberNameRule::TokenSubset);
+  std::vector<std::size_t> name_matches;
+  for (std::size_t j = 0; j < target.methods().size(); ++j) {
+    const MethodDescription& tgt_method = target.methods()[j];
+    matching_member_names(names, j, name_matches);
     struct Candidate {
       const MethodDescription* method;
       std::vector<std::size_t> permutation;
     };
     std::vector<Candidate> candidates;
 
-    for (const auto& src_method : source.methods()) {
+    for (const std::size_t i : name_matches) {
+      const MethodDescription& src_method = source.methods()[i];
       if (src_method.arity() != tgt_method.arity()) continue;
-      if (!member_name_conforms(src_method.name, tgt_method.name)) continue;
       if (options_.require_same_modifiers &&
           (src_method.visibility != tgt_method.visibility ||
            src_method.is_static != tgt_method.is_static)) {

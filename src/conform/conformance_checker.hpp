@@ -103,6 +103,7 @@ class ConformanceChecker {
 
  private:
   struct Ctx;
+  class MemberNames;
 
   CheckResult compute(const reflect::TypeDescription& source,
                       const reflect::TypeDescription& target, Ctx& ctx);
@@ -115,8 +116,14 @@ class ConformanceChecker {
                     std::string_view target_type, std::string_view target_ns, Ctx& ctx);
 
   bool name_conforms(std::string_view source_name, std::string_view target_name) const;
+  /// Member-name aspect for wildcard targets and the Exact/Contains rules;
+  /// TokenSubset names are matched from MemberNames' token tables.
   bool member_name_conforms(std::string_view source_name,
                             std::string_view target_name) const;
+  /// Replaces `matches` with the indices, ascending, of the source members
+  /// of `names` whose names conform to target member `target_index`'s.
+  void matching_member_names(const MemberNames& names, std::size_t target_index,
+                             std::vector<std::size_t>& matches) const;
   bool explicitly_conforms(const reflect::TypeDescription& source,
                            const reflect::TypeDescription& target, Ctx& ctx);
 

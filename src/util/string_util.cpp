@@ -87,37 +87,8 @@ bool icontains(std::string_view haystack, std::string_view needle) noexcept {
 
 std::vector<std::string> identifier_tokens(std::string_view identifier) {
   std::vector<std::string> tokens;
-  std::string current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      tokens.push_back(current);
-      current.clear();
-    }
-  };
-  const auto is_upper = [](char c) { return c >= 'A' && c <= 'Z'; };
-  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
-  for (std::size_t i = 0; i < identifier.size(); ++i) {
-    const char c = identifier[i];
-    if (c == '_' || c == '-' || c == ' ') {
-      flush();
-      continue;
-    }
-    // New hump: an upper-case letter starts a token, except inside an
-    // acronym run ("XMLParser" -> "xml", "parser").
-    if (is_upper(c)) {
-      const bool prev_lower = i > 0 && !is_upper(identifier[i - 1]) &&
-                              !is_digit(identifier[i - 1]) && identifier[i - 1] != '_';
-      const bool next_lower = i + 1 < identifier.size() && !is_upper(identifier[i + 1]) &&
-                              !is_digit(identifier[i + 1]) && identifier[i + 1] != '_';
-      if (prev_lower || (next_lower && !current.empty())) flush();
-    } else if (is_digit(c)) {
-      if (!current.empty() && !is_digit(current.back())) flush();
-    } else if (!current.empty() && is_digit(current.back())) {
-      flush();
-    }
-    current.push_back(to_lower(c));
-  }
-  flush();
+  const auto add = [&tokens](std::string_view token) { tokens.push_back(to_lower(token)); };
+  for_each_identifier_token(identifier, add);
   return tokens;
 }
 

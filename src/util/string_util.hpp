@@ -62,8 +62,49 @@ struct ICaseLess {
 /// `getName` interoperate with `getPersonName`).
 [[nodiscard]] std::vector<std::string> identifier_tokens(std::string_view identifier);
 
+/// The tokenizer behind identifier_tokens, without allocating: calls
+/// `emit(span)` for each token in order, where `span` is the substring of
+/// `identifier` whose lower-cased form is the token (tokens are
+/// contiguous and never contain a separator).
+template <typename Emit>
+void for_each_identifier_token(std::string_view identifier, Emit&& emit) {
+  const auto is_upper = [](char c) { return c >= 'A' && c <= 'Z'; };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  std::size_t start = 0;  // first character of the token being built
+  const auto flush = [&](std::size_t end) {
+    if (end > start) emit(identifier.substr(start, end - start));
+    start = end;
+  };
+  for (std::size_t i = 0; i < identifier.size(); ++i) {
+    const char c = identifier[i];
+    if (c == '_' || c == '-' || c == ' ') {
+      flush(i);
+      start = i + 1;
+      continue;
+    }
+    // New hump: an upper-case letter starts a token, except inside an
+    // acronym run ("XMLParser" -> "xml", "parser").
+    if (is_upper(c)) {
+      const bool prev_lower = i > 0 && !is_upper(identifier[i - 1]) &&
+                              !is_digit(identifier[i - 1]) && identifier[i - 1] != '_';
+      const bool next_lower = i + 1 < identifier.size() && !is_upper(identifier[i + 1]) &&
+                              !is_digit(identifier[i + 1]) && identifier[i + 1] != '_';
+      if (prev_lower || (next_lower && i > start)) flush(i);
+    } else if (is_digit(c)) {
+      if (i > start && !is_digit(identifier[i - 1])) flush(i);
+    } else if (i > start && is_digit(identifier[i - 1])) {
+      flush(i);
+    }
+  }
+  flush(identifier.size());
+}
+
 /// True when every token of `a` appears among the tokens of `b` or vice
-/// versa (set inclusion either way).
+/// versa (set inclusion either way); two token-less names match, a
+/// token-less name matches nothing else. This is the reference for the
+/// TokenSubset member-name rule: ConformanceChecker answers it from token
+/// tables built once per check, and the tests hold those tables to this
+/// function, which tokenizes both names on every call.
 [[nodiscard]] bool token_subset_match(std::string_view a, std::string_view b);
 
 }  // namespace pti::util

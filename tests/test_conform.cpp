@@ -1,7 +1,10 @@
 // Tests for the conformance engine: the paper's rules (Fig. 2), cycle
-// handling, ambiguity, caching, missing-type reporting and the baseline
-// matchers.
+// handling, ambiguity, caching, missing-type reporting, the baseline
+// matchers, and member-name matching held to util::token_subset_match.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "conform/baselines.hpp"
 #include "conform/conformance_cache.hpp"
@@ -10,6 +13,8 @@
 #include "reflect/domain.hpp"
 #include "reflect/introspect.hpp"
 #include "reflect/type_builder.hpp"
+#include "util/rng.hpp"
+#include "util/string_util.hpp"
 
 namespace pti::conform {
 namespace {
@@ -521,6 +526,287 @@ INSTANTIATE_TEST_SUITE_P(AllFixtureTypes, ReflexivityProperty,
                                            "agenda.Meeting", "bank.Account",
                                            "listsA.Node", "taggedA.Point", "int32",
                                            "string", "object"));
+
+// --- member names vs the util::token_subset_match oracle ---------------------
+//
+// The checker matches TokenSubset member names from per-check token tables;
+// util::token_subset_match is the spec it must agree with, pair for pair.
+
+constexpr char to_upper(char c) { return (c >= 'a' && c <= 'z') ? c - 'a' + 'A' : c; }
+
+/// Fixed-seed identifier generator: camelCase, PascalCase, acronym runs
+/// ("XMLParser"), digit runs, `_`/`-`/space separators, empty and
+/// separator-only names, repeated tokens and mixed case, over a small
+/// vocabulary so that names often share tokens.
+class IdentifierGen {
+ public:
+  explicit IdentifierGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string name() {
+    const std::uint64_t kind = rng_.next_below(16);
+    if (kind == 0) return "";
+    if (kind == 1) return separators();
+    std::vector<std::string> parts(1 + rng_.next_below(4));
+    for (auto& part : parts) part = word();
+    if (parts.size() > 1 && rng_.next_bool(0.2)) parts.back() = parts.front();
+    return render(parts);
+  }
+
+  /// A name re-rendered from a subset of `source`'s tokens: usually (not
+  /// always — rendering may merge tokens) a token-subset match of it.
+  std::string derived(std::string_view source) {
+    const std::vector<std::string> tokens = util::identifier_tokens(source);
+    if (tokens.empty()) return rng_.next_bool(0.5) ? std::string() : separators();
+    std::vector<std::string> parts;
+    for (const auto& token : tokens) {
+      if (rng_.next_bool(0.6)) parts.push_back(token);
+    }
+    if (parts.empty()) parts.push_back(tokens[rng_.next_below(tokens.size())]);
+    return render(parts);
+  }
+
+  /// A wildcard pattern matching `source`: a prefix plus `*`, or `source`
+  /// with one character replaced by `?`.
+  std::string pattern(std::string_view source) {
+    if (source.empty()) return "*";
+    if (rng_.next_bool(0.5)) {
+      return std::string(source.substr(0, rng_.next_below(source.size()))) + "*";
+    }
+    std::string out(source);
+    out[rng_.next_below(out.size())] = '?';
+    return out;
+  }
+
+  std::size_t below(std::size_t n) { return rng_.next_below(n); }
+  bool coin() { return rng_.next_bool(0.5); }
+
+ private:
+  std::string word() {
+    static const std::vector<std::string> kWords =
+        util::split("get set name person id xml parser url value count a b", ' ');
+    if (rng_.next_bool(0.25)) {
+      return std::to_string(rng_.next_below(rng_.next_bool(0.5) ? 10 : 2048));
+    }
+    return kWords[rng_.next_below(kWords.size())];
+  }
+
+  std::string separators() {
+    std::string out(1 + rng_.next_below(3), ' ');
+    for (char& c : out) c = "_- "[rng_.next_below(3)];
+    return out;
+  }
+
+  std::string render(const std::vector<std::string>& parts) {
+    std::string out = rng_.next_bool(0.1) ? "_" : "";
+    const std::uint64_t style = rng_.next_below(5);
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      std::string part = parts[k];
+      switch (style) {
+        case 0:  // camelCase
+          if (k > 0) part[0] = to_upper(part[0]);
+          break;
+        case 1:  // snake, kebab or spaced
+          if (k > 0) out += "_- "[rng_.next_below(3)];
+          break;
+        case 2:  // acronym runs
+          if (rng_.next_bool(0.5)) {
+            for (char& c : part) c = to_upper(c);
+          } else if (k > 0) {
+            part[0] = to_upper(part[0]);
+          }
+          break;
+        case 3:  // mixed case
+          for (char& c : part) {
+            if (rng_.next_bool(0.3)) c = to_upper(c);
+          }
+          break;
+        default:  // PascalCase
+          part[0] = to_upper(part[0]);
+          break;
+      }
+      out += part;
+    }
+    return out;
+  }
+
+  util::Rng rng_;
+};
+
+/// A class whose fields and zero-arity methods (all int32, public,
+/// non-static) carry the given names.
+TypeDescription member_probe(std::string ns, std::string name,
+                             const std::vector<std::string>& fields,
+                             const std::vector<std::string>& methods) {
+  TypeDescription t(std::move(ns), std::move(name), TypeKind::Class);
+  for (const auto& f : fields) {
+    t.add_field({f, "int32", reflect::Visibility::Public, false});
+  }
+  for (const auto& m : methods) {
+    t.add_method({m, "int32", {}, reflect::Visibility::Public, false});
+  }
+  return t;
+}
+
+TEST(MemberNameOracle, SingleMemberVerdictsMatchTokenSubset) {
+  Domain domain;
+  ConformanceOptions options;
+  options.max_name_distance = 1;  // "ProbeS" vs "ProbeT": never structurally equal
+  ConformanceChecker checker(domain.registry(), options);
+  IdentifierGen gen(0x7e57'0001);
+  constexpr int kPairs = 3000;
+  int matches = 0;
+  for (int n = 0; n < kPairs; ++n) {
+    std::string a = gen.name();
+    std::string b = gen.coin() ? gen.derived(a) : gen.name();
+    if (gen.coin()) std::swap(a, b);
+    const bool oracle = util::token_subset_match(a, b);
+    matches += oracle ? 1 : 0;
+    SCOPED_TRACE("source '" + a + "', target '" + b + "'");
+    const TypeDescription field_src = member_probe("s", "ProbeS", {a}, {});
+    const TypeDescription field_tgt = member_probe("t", "ProbeT", {b}, {});
+    EXPECT_EQ(checker.check(field_src, field_tgt).conformant, oracle) << "fields";
+    const TypeDescription method_src = member_probe("s", "ProbeS", {}, {a});
+    const TypeDescription method_tgt = member_probe("t", "ProbeT", {}, {b});
+    EXPECT_EQ(checker.check(method_src, method_tgt).conformant, oracle) << "methods";
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(matches, kPairs / 5);
+  EXPECT_LT(matches, kPairs * 4 / 5);
+}
+
+/// The member-name rule by the oracle: wildcard targets by
+/// util::wildcard_match, everything else by util::token_subset_match.
+bool oracle_match(std::string_view source, std::string_view target, bool wildcards) {
+  if (wildcards && target.find_first_of("*?") != std::string_view::npos) {
+    return util::wildcard_match(target, source);
+  }
+  return util::token_subset_match(source, target);
+}
+
+/// What the checker must produce for one aspect, derived from the oracle:
+/// per target, in order, the chosen source name and the candidate count.
+struct OracleAspect {
+  bool conformant = true;
+  std::vector<std::string> chosen;
+  std::vector<std::size_t> candidates;
+};
+
+OracleAspect oracle_aspect(const std::vector<std::string>& sources,
+                           const std::vector<std::string>& targets,
+                           const ConformanceOptions& options) {
+  OracleAspect out;
+  for (const auto& target : targets) {
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (oracle_match(sources[i], target, options.allow_wildcards)) candidates.push_back(i);
+    }
+    const bool refused = candidates.size() > 1 && options.ambiguity == AmbiguityPolicy::Error;
+    if (candidates.empty() || refused) {
+      out.conformant = false;
+      return out;
+    }
+    std::size_t chosen = candidates.front();
+    if (options.ambiguity == AmbiguityPolicy::PreferExactName) {
+      for (const std::size_t c : candidates) {
+        if (util::iequals(sources[c], target)) {
+          chosen = c;
+          break;
+        }
+      }
+    }
+    out.chosen.push_back(sources[chosen]);
+    out.candidates.push_back(candidates.size());
+  }
+  return out;
+}
+
+TEST(MemberNameOracle, WideAmbiguousPairsMapLikeTheOracle) {
+  Domain domain;
+  IdentifierGen gen(0x7e57'0002);
+  constexpr std::size_t kSources = 48;
+  constexpr std::size_t kTargets = 24;
+  constexpr int kRounds = 40;
+  const auto make_names = [&](std::size_t n) {
+    std::vector<std::string> names(n);
+    for (auto& name : names) name = gen.name();
+    return names;
+  };
+  const auto recased = [](std::string name) {
+    if (!name.empty()) name[0] = to_upper(name[0]);
+    return name;
+  };
+  // Targets derived from a source, re-cased exact copies (PreferExactName
+  // has something to prefer), unrelated names and, in odd rounds, wildcard
+  // patterns. Outside every fourth round a target no source matches (with
+  // wildcards on) becomes a re-cased copy, so most rounds conform and
+  // their mappings can be compared.
+  const auto make_targets = [&](const std::vector<std::string>& sources, int round) {
+    std::vector<std::string> targets(kTargets);
+    for (auto& target : targets) {
+      const std::string& source = sources[gen.below(sources.size())];
+      const std::size_t kind = gen.below(10);
+      if (round % 2 == 1 && kind < 2) {
+        target = gen.pattern(source);
+      } else if (kind < 4) {
+        target = recased(source);
+      } else if (kind < 9) {
+        target = gen.derived(source);
+      } else {
+        target = gen.name();
+      }
+      bool matched = false;
+      for (const auto& s : sources) matched = matched || oracle_match(s, target, true);
+      if (round % 4 != 0 && !matched) target = recased(source);
+    }
+    return targets;
+  };
+
+  int conformant[2][3] = {};  // [allow_wildcards][policy]
+  int ambiguous_mappings = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto src_fields = make_names(kSources);
+    const auto src_methods = make_names(kSources);
+    const auto tgt_fields = make_targets(src_fields, round);
+    const auto tgt_methods = make_targets(src_methods, round);
+    const TypeDescription source = member_probe("s", "Wide", src_fields, src_methods);
+    const TypeDescription target = member_probe("t", "Wide", tgt_fields, tgt_methods);
+    for (const bool allow_wildcards : {false, true}) {
+      for (const int policy : {0, 1, 2}) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        SCOPED_TRACE("allow_wildcards " + std::to_string(allow_wildcards));
+        SCOPED_TRACE("policy " + std::to_string(policy));
+        ConformanceOptions options;
+        options.allow_wildcards = allow_wildcards;
+        options.ambiguity = static_cast<AmbiguityPolicy>(policy);
+        ConformanceChecker checker(domain.registry(), options);
+        const CheckResult r = checker.check(source, target);
+        const OracleAspect fields = oracle_aspect(src_fields, tgt_fields, options);
+        const OracleAspect methods = oracle_aspect(src_methods, tgt_methods, options);
+        ASSERT_EQ(r.conformant, fields.conformant && methods.conformant);
+        if (!r.conformant) continue;
+        ++conformant[allow_wildcards][policy];
+        ASSERT_EQ(r.plan.fields().size(), kTargets);
+        ASSERT_EQ(r.plan.methods().size(), kTargets);
+        for (std::size_t j = 0; j < kTargets; ++j) {
+          EXPECT_EQ(r.plan.fields()[j].source_field, fields.chosen[j]) << tgt_fields[j];
+          const MethodMapping& m = r.plan.methods()[j];
+          EXPECT_EQ(m.source_name, methods.chosen[j]) << tgt_methods[j];
+          EXPECT_EQ(m.candidate_count, methods.candidates[j]) << tgt_methods[j];
+          if (methods.candidates[j] > 1) ++ambiguous_mappings;
+        }
+      }
+    }
+  }
+  // Every policy but Error (which refuses ambiguity) maps some rounds in
+  // both wildcard modes, and wildcard targets conform more often with the
+  // extension on.
+  for (const bool allow_wildcards : {false, true}) {
+    EXPECT_GT(conformant[allow_wildcards][0], 0);
+    EXPECT_GT(conformant[allow_wildcards][1], 0);
+  }
+  EXPECT_GT(conformant[1][0], conformant[0][0]);
+  EXPECT_GT(ambiguous_mappings, kRounds * 4);
+}
 
 }  // namespace
 }  // namespace pti::conform

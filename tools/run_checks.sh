@@ -20,6 +20,8 @@
 #   10 debug configure/build   20 debug ctest
 #   30 tsan  configure/build   40 tsan  ctest
 #   50 asan  configure/build   60 asan  ctest    (ASAN=1 only)
+#   55 ubsan configure/build   65 ubsan ctest    (any UndefinedBehavior-
+#      Sanitizer report fails its test: the preset sets halt_on_error=1)
 #   70 clang-format gate       80 adversarial soak gate (SOAK=1 only)
 #   90 megasim scale smoke (10^4-peer deterministic scenario, Release,
 #      wall-clock ceiling SCALE_SMOKE_SECONDS, default 300)
@@ -75,6 +77,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   stage 50 "configure + build: asan preset" build_preset asan
   stage 60 "ctest: asan preset" ctest --preset asan "${CTEST_JOBS[@]}"
 fi
+stage 55 "configure + build: ubsan preset" build_preset ubsan
+stage 65 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 stage 70 "clang-format gate" tools/check_format.sh
 if [[ "${SOAK:-0}" == "1" ]]; then
   stage 80 "adversarial soak gate" tools/run_soak.sh
