@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -535,6 +536,68 @@ TEST(ScenarioEquivalence, SharedIntrosBeatColdOnAColdHeavyStorm) {
   ::testing::Test::RecordProperty("cold_bytes", std::to_string(cold.stats.net_bytes));
   ::testing::Test::RecordProperty("session_bytes",
                                   std::to_string(batched.stats.net_bytes));
+}
+
+// --- Golden digests ----------------------------------------------------------
+
+// Every other scenario test compares one run with another run, so a change
+// that is wrong but deterministic (say, a fan-out that picks the wrong
+// capped targets every time) would pass them all. These values were
+// recorded from the implementation that sorted the full subscriber union
+// and keyed session state by peer name; any change to fan-out selection,
+// batching or session bookkeeping must reproduce them exactly.
+struct GoldenRun {
+  const char* label;
+  bool sessions;
+  std::size_t session_batch;
+  std::size_t fanout_cap;
+  std::uint64_t trace_digest;
+  std::uint64_t accept_digest;
+  std::uint64_t stats_digest;
+  std::uint64_t net_bytes;
+};
+
+TEST(ScenarioGolden, DigestsMatchPinnedValues) {
+  constexpr std::size_t kPeers = 1500;
+  const GoldenRun runs[] = {
+      {"optimistic/cap16", false, 1, 16, 16852827963466580873ULL, 3240809623005909056ULL,
+       7863229076828516274ULL, 6926687ULL},
+      {"optimistic/cap64", false, 1, 64, 2958558045681184115ULL, 3585816695577321411ULL,
+       8221024017233152995ULL, 27492694ULL},
+      {"session/cap16", true, 1, 16, 16852827963466580873ULL, 3240809623005909056ULL,
+       8253676160607759001ULL, 6039693ULL},
+      {"session/cap64", true, 1, 64, 2958558045681184115ULL, 3585816695577321411ULL,
+       11032245340381392621ULL, 23954092ULL},
+      {"batch16/cap16", true, 16, 16, 4990154917609408661ULL, 3240809623005909056ULL,
+       13005671410760905318ULL, 6079539ULL},
+      {"batch16/cap64", true, 16, 64, 11688647665426156231ULL, 3585816695577321411ULL,
+       11725491231210435743ULL, 24113072ULL},
+  };
+  const ScenarioScript script = ScenarioScript::standard(kPeers);
+  for (const GoldenRun& golden : runs) {
+    ScenarioConfig config;
+    config.seed = 53;
+    config.peers = kPeers;
+    config.types = 64;
+    config.type_groups = 16;
+    config.use_sessions = golden.sessions;
+    config.session_batch = golden.session_batch;
+    config.fanout_cap = golden.fanout_cap;
+    const ScenarioResult result = sim::run_scenario(config, script);
+    EXPECT_EQ(result.trace_digest, golden.trace_digest) << golden.label;
+    EXPECT_EQ(result.accept_digest, golden.accept_digest) << golden.label;
+    EXPECT_EQ(result.stats_digest, golden.stats_digest) << golden.label;
+    EXPECT_EQ(result.stats.net_bytes, golden.net_bytes) << golden.label;
+    // Print a ready-to-paste row when anything differs.
+    if (::testing::Test::HasFailure()) {
+      std::printf("{\"%s\", %s, %zu, %zu, %lluULL, %lluULL, %lluULL, %lluULL},\n", golden.label,
+                  golden.sessions ? "true" : "false", golden.session_batch, golden.fanout_cap,
+                  static_cast<unsigned long long>(result.trace_digest),
+                  static_cast<unsigned long long>(result.accept_digest),
+                  static_cast<unsigned long long>(result.stats_digest),
+                  static_cast<unsigned long long>(result.stats.net_bytes));
+    }
+  }
 }
 
 // --- Scale gate --------------------------------------------------------------
