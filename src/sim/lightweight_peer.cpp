@@ -95,13 +95,19 @@ SessionPush LightweightPeer::build_session_entry(const std::string& target,
   return push;
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string& target,
+std::vector<bool>& LightweightPeer::intros_sent_to(const LightweightPeer& target) {
+  std::vector<bool>& sent = intro_sent_[target.index()];
+  if (sent.empty()) sent.assign(universe_.type_count(), false);
+  return sent;
+}
+
+LightweightPeer::PushOutcome LightweightPeer::publish_session(const LightweightPeer& peer,
                                                               std::uint32_t family) {
   // Publishing makes us the origin: we hold the description and code.
   known_[family] = true;
   loaded_[family] = true;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+  std::vector<bool>& sent = intros_sent_to(peer);
+  const std::string& target = peer.name();
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     const bool fresh = !sent[family];
@@ -132,11 +138,11 @@ LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string&
 }
 
 std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
-    const std::string& target, const std::vector<std::uint32_t>& families) {
+    const LightweightPeer& peer, const std::vector<std::uint32_t>& families) {
   std::vector<PushOutcome> out(families.size(), PushOutcome{false, true, kNoInterest});
   if (families.empty()) return out;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+  std::vector<bool>& sent = intros_sent_to(peer);
+  const std::string& target = peer.name();
 
   // Plans are built at flush time, exactly like transport::Peer's window:
   // the FIRST entry for a family carries the intro, later entries in the
@@ -171,7 +177,7 @@ std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
         // leaving every other slot's verdict untouched.
         sent.assign(universe_.type_count(), false);
         --counters_.pushes_sent;  // publish_session recounts the replay
-        out[i] = publish_session(target, families[i]);
+        out[i] = publish_session(peer, families[i]);
         continue;
       }
       if (fresh[i]) sent[families[i]] = true;  // commit-on-ack, per slot
@@ -184,9 +190,10 @@ std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
   }
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_to(const std::string& target,
+LightweightPeer::PushOutcome LightweightPeer::publish_to(const LightweightPeer& peer,
                                                          std::uint32_t family) {
-  if (use_sessions_) return publish_session(target, family);
+  if (use_sessions_) return publish_session(peer, family);
+  const std::string& target = peer.name();
   ObjectPush push;
   push.envelope = universe_.envelope_bytes(family);
   if (mode_ == transport::ProtocolMode::Eager) {
@@ -281,7 +288,7 @@ SessionAck LightweightPeer::process_session_push(const std::string& sender,
   ++counters_.pushes_received;
   last_matched_ = kNoInterest;
 
-  std::vector<bool>& wire_known = session_known_[sender];
+  std::vector<bool>& wire_known = session_known_[push.token - 1];
   if (wire_known.empty()) wire_known.assign(universe_.type_count(), false);
   // Descriptions that actually crossed the wire in this push get their
   // hashes advertised back, so ANY sender can skip those bytes next time.

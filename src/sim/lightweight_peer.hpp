@@ -90,13 +90,13 @@ class LightweightPeer {
     std::uint32_t matched = kNoInterest;
   };
   /// Publishes family `family` to `target` (one full protocol exchange).
-  PushOutcome publish_to(const std::string& target, std::uint32_t family);
+  PushOutcome publish_to(const LightweightPeer& target, std::uint32_t family);
   /// Publishes several families to `target` as ONE SessionBatch frame
   /// (session mode only). Entries are processed by the receiver in order
   /// and acked positionally; a Reset slot is replayed individually, so a
   /// refused entry never desynchronises the rest. Per-entry outcomes come
   /// back in input order.
-  std::vector<PushOutcome> publish_batch_to(const std::string& target,
+  std::vector<PushOutcome> publish_batch_to(const LightweightPeer& target,
                                             const std::vector<std::uint32_t>& families);
 
   /// Interest family matched by the most recent accepted push delivered
@@ -126,7 +126,9 @@ class LightweightPeer {
   [[nodiscard]] transport::SessionPush build_session_entry(const std::string& target,
                                                            std::uint32_t family,
                                                            bool fresh);
-  PushOutcome publish_session(const std::string& target, std::uint32_t family);
+  PushOutcome publish_session(const LightweightPeer& target, std::uint32_t family);
+  /// Which families `target` acknowledged an intro for (sized on first use).
+  [[nodiscard]] std::vector<bool>& intros_sent_to(const LightweightPeer& target);
 
   std::uint32_t index_;
   std::string name_;
@@ -149,11 +151,13 @@ class LightweightPeer {
   /// Session mode: pushes travel as SessionPush frames (wire id = family
   /// index + 1, token = peer index + 1 — both scenario-local, digest-safe).
   /// Sender side tracks which families each target acknowledged an intro
-  /// for (commit-on-ack); receiver side mirrors which wire ids each sender
-  /// introduced. Both survive leave/rejoin, exactly like known_/loaded_.
+  /// for (commit-on-ack), keyed by the target's peer index; receiver side
+  /// mirrors which wire ids each sender introduced, keyed by the sender's
+  /// peer index (token - 1). Both survive leave/rejoin, exactly like
+  /// known_/loaded_.
   bool use_sessions_ = false;
-  std::unordered_map<std::string, std::vector<bool>> intro_sent_;
-  std::unordered_map<std::string, std::vector<bool>> session_known_;
+  std::unordered_map<std::uint32_t, std::vector<bool>> intro_sent_;
+  std::unordered_map<std::uint64_t, std::vector<bool>> session_known_;
   /// Scenario-shared intro registry (owned by the hub): receivers advertise
   /// description hashes in their acks; senders consult it to elide intro
   /// description bytes a target already holds. Byte-saving hint only —

@@ -223,9 +223,13 @@ void Scenario::fire_publish() {
     for (const transport::SubscriberId sub : target_scratch_) {
       const std::uint32_t target = sub_to_peer_[sub];
       ++stats_.deliveries;
-      pending_deliveries_.push_back({publisher, target, family});
       const std::uint64_t key = (std::uint64_t{publisher} << 32) | target;
-      if (++pending_pair_counts_[key] >= config_.session_batch) full = true;
+      const auto [it, inserted] = pending_pairs_.try_emplace(
+          key, PendingPair{static_cast<std::uint32_t>(pending_pairs_.size()), 0});
+      pending_order_.push_back((std::uint64_t{it->second.rank} << 32) |
+                               pending_deliveries_.size());
+      pending_deliveries_.push_back({publisher, target, family});
+      if (++it->second.count >= config_.session_batch) full = true;
     }
     if (full) flush_session_batches();
     return;
@@ -235,7 +239,7 @@ void Scenario::fire_publish() {
     const std::uint32_t target = sub_to_peer_[sub];
     ++stats_.deliveries;
     const LightweightPeer::PushOutcome outcome =
-        peers_[publisher]->publish_to(peers_[target]->name(), family);
+        peers_[publisher]->publish_to(*peers_[target], family);
     mix_delivery(target, family, outcome,
                  outcome.delivered ? peers_[target]->last_matched_interest()
                                    : LightweightPeer::kNoInterest);
@@ -268,45 +272,46 @@ void Scenario::mix_delivery(std::uint32_t target, std::uint32_t family,
 
 void Scenario::flush_session_batches() {
   if (pending_deliveries_.empty()) return;
-  // Group by (publisher, target) in first-touch order. The frames go out
-  // group by group, but the digests fold in ORIGINAL delivery order below
-  // — batching regroups the wire, never the verdict stream.
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
-    const PendingDelivery& d = pending_deliveries_[i];
-    const std::uint64_t key = (std::uint64_t{d.publisher} << 32) | d.target;
-    const auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.push_back(i);
-  }
-
-  std::vector<LightweightPeer::PushOutcome> outcomes(pending_deliveries_.size());
-  std::vector<std::uint32_t> families;
-  for (const std::uint64_t key : order) {
-    const std::vector<std::size_t>& slots = groups[key];
-    for (std::size_t base = 0; base < slots.size(); base += config_.session_batch) {
-      const std::size_t count = std::min(config_.session_batch, slots.size() - base);
-      families.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        families.push_back(pending_deliveries_[slots[base + k]].family);
-      }
-      const PendingDelivery& head = pending_deliveries_[slots[base]];
-      const std::vector<LightweightPeer::PushOutcome> out =
-          peers_[head.publisher]->publish_batch_to(peers_[head.target]->name(), families);
-      for (std::size_t k = 0; k < count; ++k) outcomes[slots[base + k]] = out[k];
-      ++stats_.session_batch_frames;
-      stats_.session_batch_entries += count;
+  // Group by (publisher, target) in first-touch order: sorting the
+  // (rank, slot) keys lays each pair's slots out contiguously, in delivery
+  // order, groups in rank order. The frames go out group by group, but the
+  // digests fold in ORIGINAL delivery order below — batching regroups the
+  // wire, never the verdict stream.
+  std::sort(pending_order_.begin(), pending_order_.end());
+  const auto slot_at = [&](std::size_t k) {
+    return static_cast<std::size_t>(pending_order_[k] & 0xFFFFFFFFu);
+  };
+  pending_outcomes_.resize(pending_deliveries_.size());
+  for (std::size_t begin = 0; begin < pending_order_.size();) {
+    // One frame: up to session_batch consecutive slots of one group.
+    const std::uint64_t rank = pending_order_[begin] >> 32;
+    std::size_t end = begin + 1;
+    while (end < pending_order_.size() && end - begin < config_.session_batch &&
+           pending_order_[end] >> 32 == rank) {
+      ++end;
     }
+    batch_families_.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      batch_families_.push_back(pending_deliveries_[slot_at(k)].family);
+    }
+    const PendingDelivery& head = pending_deliveries_[slot_at(begin)];
+    const std::vector<LightweightPeer::PushOutcome> out =
+        peers_[head.publisher]->publish_batch_to(*peers_[head.target], batch_families_);
+    for (std::size_t k = begin; k < end; ++k) pending_outcomes_[slot_at(k)] = out[k - begin];
+    ++stats_.session_batch_frames;
+    stats_.session_batch_entries += end - begin;
+    begin = end;
   }
 
   for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
     const PendingDelivery& d = pending_deliveries_[i];
-    mix_delivery(d.target, d.family, outcomes[i], outcomes[i].matched);
+    const LightweightPeer::PushOutcome& outcome = pending_outcomes_[i];
+    mix_delivery(d.target, d.family, outcome, outcome.matched);
     maybe_reclaim();
   }
   pending_deliveries_.clear();
-  pending_pair_counts_.clear();
+  pending_order_.clear();
+  pending_pairs_.clear();
 }
 
 void Scenario::fire_churn_leave() {
@@ -360,13 +365,15 @@ void Scenario::match_targets(std::uint32_t family, transport::SubscriberId publi
   const std::uint32_t group = universe_->group_of(family);
   if (config_.use_inverted_index) {
     // Route through the shared engine: one scan over DISTINCT interests,
-    // then a posting-list walk per match.
+    // then a posting-list walk per match that keeps only the lowest ids —
+    // one more than the cap (saturating), as the publisher may be among them.
+    const std::size_t limit = std::max(config_.fanout_cap, config_.fanout_cap + 1);
     hub_.interests().collect_matches(
         [&](const transport::InterestEntry& entry) {
           const std::uint32_t interest = universe_->interest_of_id(entry.interest);
           return interest != TypeUniverse::kNoType && universe_->group_of(interest) == group;
         },
-        out, interest_scratch_);
+        out, interest_scratch_, limit);
   } else {
     // Baseline (pre-index shape): visit EVERY live peer's own interest
     // list — O(population) per publish regardless of how few types match.

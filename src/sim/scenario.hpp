@@ -11,8 +11,11 @@
 // interest could match" (interest family in the published type's schema
 // group — the topic-routing approximation); each receiver then runs the
 // exact conformance gate, so accepts AND rejects both occur and the
-// optimistic protocol has something to save. Target discovery goes
-// through InterestIndex::collect_matches by default; with
+// optimistic protocol has something to save. The targets are the
+// `fanout_cap` lowest subscriber ids of that set, publisher excluded.
+// Target discovery goes through InterestIndex::collect_matches by default,
+// which keeps the lowest `fanout_cap + 1` ids while it walks the posting
+// lists and never sorts the whole subscriber union; with
 // `use_inverted_index = false` it walks every live peer's own interest
 // list instead — the pre-PR-8 shape, kept as the benchmark baseline and
 // as a correctness pin: both paths must produce identical target sets,
@@ -202,9 +205,21 @@ class Scenario {
     std::uint32_t target;
     std::uint32_t family;
   };
+  /// Per (publisher, target) pair in the window: its first-touch rank and
+  /// how many deliveries it holds.
+  struct PendingPair {
+    std::uint32_t rank;
+    std::uint32_t count;
+  };
   bool defer_deliveries_ = false;  ///< use_sessions && session_batch > 1
   std::vector<PendingDelivery> pending_deliveries_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_pair_counts_;
+  std::unordered_map<std::uint64_t, PendingPair> pending_pairs_;
+  /// (pair rank << 32 | slot) per deferred delivery; sorted at flush.
+  std::vector<std::uint64_t> pending_order_;
+  /// Flush scratch, kept across windows so a warm flush allocates only
+  /// what the frames themselves carry.
+  std::vector<LightweightPeer::PushOutcome> pending_outcomes_;
+  std::vector<std::uint32_t> batch_families_;
 
   std::uint64_t cursor_ns_ = 0;  ///< schedule-time cursor for script phases
   std::size_t since_reclaim_ = 0;

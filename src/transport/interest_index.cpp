@@ -136,16 +136,25 @@ std::size_t InterestIndex::PostingList::collect(std::vector<std::uint32_t>& out)
   return appended;
 }
 
-void InterestIndex::PostingList::for_each(const std::function<bool(std::uint32_t)>& fn) const {
+void InterestIndex::PostingList::merge_lowest(std::vector<std::uint32_t>& lowest,
+                                              std::size_t limit) const {
   const Dir* dir = dir_.load(std::memory_order_acquire);
   if (dir == nullptr) return;
   const std::uint32_t n = dir->count.load(std::memory_order_acquire);
   for (std::uint32_t base = 0; base < n; base += kChunkSize) {
     const Chunk* chunk = dir->chunks[base / kChunkSize].load(std::memory_order_acquire);
-    const std::uint32_t limit = std::min(n - base, kChunkSize);
-    for (std::uint32_t i = 0; i < limit; ++i) {
+    const std::uint32_t count = std::min(n - base, kChunkSize);
+    for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t v = chunk->slots[i].load(std::memory_order_relaxed);
-      if (v != kTombstone && !fn(v)) return;
+      if (v == kTombstone) continue;
+      const bool full = lowest.size() >= limit;
+      // Once full, almost every value is rejected by this one compare.
+      if (full && v >= lowest.back()) continue;
+      const auto pos = std::lower_bound(lowest.begin(), lowest.end(), v);
+      if (pos != lowest.end() && *pos == v) continue;  // already kept
+      const std::ptrdiff_t at = pos - lowest.begin();
+      if (full) lowest.pop_back();
+      lowest.insert(lowest.begin() + at, v);
     }
   }
 }
@@ -207,22 +216,12 @@ void InterestIndex::remove_subscriber(SubscriberId sub) {
       slot->interests.load(std::memory_order_relaxed);
   if (current != nullptr) {
     for (const InterestEntry& entry : *current) {
-      bool emptied = false;
-      std::uint64_t posting_fingerprint = 0;
-      {
-        Shard& shard = shards_[shard_of(entry.interest)];
-        std::unique_lock shard_lock(shard.mutex);
-        const auto it = shard.postings.find(entry.interest);
-        if (it != shard.postings.end() &&
-            it->second->subscribers.erase(sub, epochs_)) {
-          entries_.fetch_sub(1, std::memory_order_relaxed);
-          if (it->second->subscribers.live() == 0) {
-            emptied = true;
-            posting_fingerprint = it->second->fingerprint;
-          }
-        }
+      Shard& shard = shards_[shard_of(entry.interest)];
+      std::unique_lock shard_lock(shard.mutex);
+      const auto it = shard.postings.find(entry.interest);
+      if (it != shard.postings.end() && it->second->subscribers.erase(sub, epochs_)) {
+        entries_.fetch_sub(1, std::memory_order_relaxed);
       }
-      if (emptied) bucket_remove(posting_fingerprint, entry.interest);
     }
     slot->interests.store(nullptr, std::memory_order_release);
     epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
@@ -258,26 +257,15 @@ void InterestIndex::add_interest(SubscriberId sub, util::InternedName interest,
   slot->interests.store(grown, std::memory_order_release);
   if (current != nullptr) epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
 
-  bool first_subscriber = false;
-  std::uint64_t posting_fingerprint = 0;
-  {
-    Shard& shard = shards_[shard_of(interest)];
-    std::unique_lock shard_lock(shard.mutex);
-    auto& posting = shard.postings[interest];
-    if (posting == nullptr) {
-      posting = std::make_unique<Posting>();
-      posting->fingerprint = fingerprint;
-    }
-    first_subscriber = posting->subscribers.live() == 0;
-    posting->subscribers.append(sub, epochs_);
-    posting_fingerprint = posting->fingerprint;
-    entries_.fetch_add(1, std::memory_order_relaxed);
+  Shard& shard = shards_[shard_of(interest)];
+  std::unique_lock shard_lock(shard.mutex);
+  auto& posting = shard.postings[interest];
+  if (posting == nullptr) {
+    posting = std::make_unique<Posting>();
+    posting->fingerprint = fingerprint;
   }
-  // Bucket maintenance happens after the posting lock is released: writers
-  // are already serialized by subscriber_mutex_, so keeping the two shard
-  // lock families disjoint costs nothing and means the index never nests
-  // one shard mutex inside another.
-  if (first_subscriber) bucket_add(posting_fingerprint, interest);
+  posting->subscribers.append(sub, epochs_);
+  entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool InterestIndex::remove_interest(SubscriberId sub, util::InternedName interest) {
@@ -304,21 +292,12 @@ bool InterestIndex::remove_interest(SubscriberId sub, util::InternedName interes
   slot->interests.store(shrunk, std::memory_order_release);
   epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
 
-  bool emptied = false;
-  std::uint64_t posting_fingerprint = 0;
-  {
-    Shard& shard = shards_[shard_of(interest)];
-    std::unique_lock shard_lock(shard.mutex);
-    const auto it = shard.postings.find(interest);
-    if (it != shard.postings.end() && it->second->subscribers.erase(sub, epochs_)) {
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      if (it->second->subscribers.live() == 0) {
-        emptied = true;
-        posting_fingerprint = it->second->fingerprint;
-      }
-    }
+  Shard& shard = shards_[shard_of(interest)];
+  std::unique_lock shard_lock(shard.mutex);
+  const auto it = shard.postings.find(interest);
+  if (it != shard.postings.end() && it->second->subscribers.erase(sub, epochs_)) {
+    entries_.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (emptied) bucket_remove(posting_fingerprint, interest);
   return true;
 }
 
@@ -367,55 +346,30 @@ std::size_t InterestIndex::collect_interests(std::vector<util::InternedName>& ou
   return out.size() - before;
 }
 
-void InterestIndex::bucket_add(std::uint64_t fingerprint, util::InternedName interest) {
-  BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  std::unique_lock lock(shard.mutex);
-  auto& bucket = shard.buckets[fingerprint];
-  if (bucket == nullptr) bucket = std::make_unique<PostingList>();
-  bucket->append(interest.value(), epochs_);
-}
-
-void InterestIndex::bucket_remove(std::uint64_t fingerprint, util::InternedName interest) {
-  BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  std::unique_lock lock(shard.mutex);
-  const auto it = shard.buckets.find(fingerprint);
-  if (it != shard.buckets.end()) it->second->erase(interest.value(), epochs_);
-}
-
-std::size_t InterestIndex::equivalence_candidates(std::uint64_t fingerprint,
-                                                  std::vector<util::InternedName>& out) const {
-  const BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  const PostingList* bucket = nullptr;
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.buckets.find(fingerprint);
-    if (it == shard.buckets.end()) return 0;
-    bucket = it->second.get();
-  }
-  std::size_t appended = 0;
-  bucket->for_each([&](std::uint32_t raw) {
-    out.push_back(util::InternedName(raw));
-    ++appended;
-    return true;
-  });
-  return appended;
-}
-
 std::size_t InterestIndex::collect_matches(
     const std::function<bool(const InterestEntry&)>& accept, std::vector<SubscriberId>& out,
-    std::vector<util::InternedName>& interest_scratch) const {
-  util::EpochManager::Pin pin(epochs_);
+    std::vector<util::InternedName>& interest_scratch, std::size_t limit) const {
   interest_scratch.clear();
   out.clear();
+  if (limit == 0) return 0;
+  const bool select = limit <= kMaxSelect;
+  util::EpochManager::Pin pin(epochs_);
   collect_interests(interest_scratch);
   for (const util::InternedName interest : interest_scratch) {
     const Posting* posting = find_posting(interest);
     if (posting == nullptr || posting->subscribers.live() == 0) continue;
     if (!accept(InterestEntry{interest, posting->fingerprint})) continue;
-    posting->subscribers.collect(out);
+    if (select) {
+      posting->subscribers.merge_lowest(out, limit);
+    } else {
+      posting->subscribers.collect(out);
+    }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (!select) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (out.size() > limit) out.resize(limit);
+  }
   return out.size();
 }
 

@@ -9,8 +9,6 @@
 // relation once, for everyone:
 //
 //   interest id           -> posting list of SubscriberIds   (fan-out)
-//   structural fingerprint-> interest ids in that bucket     (implicit-
-//                            conformance/equivalence candidates)
 //   SubscriberId          -> declaration-ordered interest entries (the
 //                            receive-path scan Peer used to own)
 //
@@ -25,7 +23,7 @@
 //    compaction and copy-on-write snapshots RETIRE the superseded storage
 //    through a util::EpochManager instead of freeing it.
 //  * Snapshot reads — interests_of(), match_first(), collect_subscribers(),
-//    equivalence_candidates() — touch only atomically published immutable
+//    collect_matches() — touch only atomically published immutable
 //    snapshots (a directory of chunks with a published count, or a COW
 //    vector). Readers hold an EpochManager::Pin for as long as they use a
 //    snapshot; the three shipped transports already pin per message
@@ -66,8 +64,7 @@ using SubscriberId = std::uint32_t;
 inline constexpr SubscriberId kNoSubscriber = 0xFFFFFFFFu;
 
 /// One registered interest of one subscriber: the interned qualified name
-/// of the interest type plus its structural fingerprint (the bucket key
-/// for implicit-conformance candidates).
+/// of the interest type plus its structural fingerprint.
 struct InterestEntry {
   util::InternedName interest;
   std::uint64_t fingerprint = 0;
@@ -121,20 +118,22 @@ class InterestIndex {
   /// value (deterministic); returns how many were appended.
   std::size_t collect_interests(std::vector<util::InternedName>& out) const;
 
-  /// Appends the subscribed interests whose structural fingerprint equals
-  /// `fingerprint` — the implicit-conformance candidates structurally
-  /// identical to a pushed type. A candidate still needs the checker's
-  /// verdict (fingerprints are hashes: equal means "almost surely equal").
-  std::size_t equivalence_candidates(std::uint64_t fingerprint,
-                                     std::vector<util::InternedName>& out) const;
-
   /// The publish-path fan-out: the union of subscribers over every live
-  /// interest accepted by `accept`, sorted and deduplicated into `out`.
-  /// `interest_scratch` is caller-owned scratch (cleared here) so a hot
-  /// publisher loop allocates nothing once warm. Returns |out|.
+  /// interest accepted by `accept`, sorted and deduplicated into `out` and
+  /// cut to its `limit` lowest ids. Limits up to kMaxSelect are selected
+  /// while the posting lists are walked: one pass, and the full union is
+  /// never materialised or sorted. `interest_scratch` is caller-owned
+  /// scratch (cleared here) so a hot publisher loop allocates nothing once
+  /// warm. Returns |out|.
   std::size_t collect_matches(const std::function<bool(const InterestEntry&)>& accept,
                               std::vector<SubscriberId>& out,
-                              std::vector<util::InternedName>& interest_scratch) const;
+                              std::vector<util::InternedName>& interest_scratch,
+                              std::size_t limit = kNoLimit) const;
+
+  static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
+  /// Largest limit collect_matches selects in place (each kept id costs a
+  /// sorted insert into `out`); larger limits sort the collected union.
+  static constexpr std::size_t kMaxSelect = 256;
 
   /// The manager snapshot readers must pin — callers outside a transport
   /// handler bracket their use of interests_of()/collect results in an
@@ -175,8 +174,10 @@ class InterestIndex {
     /// Snapshot read (caller pinned): appends live values in insertion
     /// order; returns how many were appended.
     std::size_t collect(std::vector<std::uint32_t>& out) const;
-    /// Snapshot read (caller pinned): first live value accepted by `fn`.
-    void for_each(const std::function<bool(std::uint32_t)>& fn) const;
+    /// Snapshot read (caller pinned): merges the live values into `lowest`,
+    /// an ascending, duplicate-free list kept to at most `limit` (> 0)
+    /// entries — the `limit` lowest distinct values seen so far.
+    void merge_lowest(std::vector<std::uint32_t>& lowest, std::size_t limit) const;
 
     [[nodiscard]] std::uint32_t live() const noexcept {
       return live_.load(std::memory_order_relaxed);
@@ -207,7 +208,7 @@ class InterestIndex {
     std::uint32_t tombstones_ = 0;  ///< mutator-side only (under shard lock)
   };
 
-  // ---- inverted map + fingerprint buckets, sharded by interest id ------
+  // ---- inverted map, sharded by interest id -----------------------------
 
   struct Posting {
     std::uint64_t fingerprint = 0;
@@ -222,31 +223,14 @@ class InterestIndex {
     /// Posting*; churn re-adding the interest reuses it.
     std::unordered_map<util::InternedName, std::unique_ptr<Posting>> postings;
   };
-  struct BucketShard {
-    mutable std::shared_mutex mutex;
-    /// structural fingerprint -> interest ids currently subscribed.
-    std::unordered_map<std::uint64_t, std::unique_ptr<PostingList>> buckets;
-  };
 
   [[nodiscard]] static std::size_t shard_of(util::InternedName interest) noexcept {
     return (interest.value() * 0x9E3779B9u >> 16) & (kShardCount - 1);
-  }
-  [[nodiscard]] static std::size_t bucket_shard_of(std::uint64_t fp) noexcept {
-    return static_cast<std::size_t>((fp ^ (fp >> 32)) & (kShardCount - 1));
   }
 
   /// Posting for `interest`, or nullptr. Shared shard lock for the map
   /// probe only; the returned pointer is stable (postings are append-only).
   [[nodiscard]] const Posting* find_posting(util::InternedName interest) const;
-
-  /// Adds/removes `interest` to its fingerprint bucket. Called AFTER the
-  /// interest's posting shard lock has been released (all writers are
-  /// serialized by subscriber_mutex_, which orders bucket membership
-  /// transitions); takes the bucket shard lock inside. No shard mutex is
-  /// ever held while acquiring another — there is no lock nesting below
-  /// subscriber_mutex_.
-  void bucket_add(std::uint64_t fingerprint, util::InternedName interest);
-  void bucket_remove(std::uint64_t fingerprint, util::InternedName interest);
 
   // ---- subscriber slots (dense ids, chunked stable storage) ------------
 
@@ -266,7 +250,6 @@ class InterestIndex {
 
   util::EpochManager& epochs_;
   std::array<Shard, kShardCount> shards_;
-  std::array<BucketShard, kShardCount> bucket_shards_;
 
   mutable std::mutex subscriber_mutex_;
   std::array<std::atomic<SlotChunk*>, kMaxSlotChunks> slot_chunks_{};

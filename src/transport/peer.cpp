@@ -734,7 +734,15 @@ CheckResult Peer::check_with_fetch(const TypeDescription& source,
   while (result.needs_more_types() && config_.mode == ProtocolMode::Optimistic &&
          rounds < config_.max_fetch_rounds) {
     ++rounds;
-    if (fetch_descriptions(sender, result.missing_types) == 0) {
+    // fetch_descriptions skips names already registered, so it returns 0
+    // both when the sender cannot help and when a concurrent push from the
+    // same sender registered the missing types after this check ran. Only
+    // the first means give up; the second means check again.
+    const auto known = [&](const std::string& n) {
+      return domain_.registry().find(n) != nullptr;
+    };
+    if (fetch_descriptions(sender, result.missing_types) == 0 &&
+        std::none_of(result.missing_types.begin(), result.missing_types.end(), known)) {
       break;  // the sender cannot help further
     }
     result = checker_.check(source, target);

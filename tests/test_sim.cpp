@@ -4,10 +4,11 @@
 //
 //   EventLoop        (time, seq)-ordered firing, clock coupling, clamping.
 //   InterestIndex    declaration-order matching, idempotent registration,
-//                    LIFO id reuse, tombstone compaction, fingerprint
-//                    buckets, sorted-union fan-out — plus a churn test
-//                    that TSan watches: concurrent subscribe/unsubscribe
-//                    against pinned snapshot readers.
+//                    LIFO id reuse, tombstone compaction, sorted-union
+//                    fan-out and its bounded (lowest-k) selection checked
+//                    against a sort+unique+truncate oracle — plus a churn
+//                    test that TSan watches: concurrent subscribe/
+//                    unsubscribe against pinned snapshot readers.
 //   Scenario         the determinism contract: same seed => byte-identical
 //                    trace/accept/stats digests, invariant under host
 //                    thread count; eager and optimistic modes agree on
@@ -22,6 +23,7 @@
 // digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -181,29 +183,6 @@ TEST(InterestIndexTest, PostingListsSurviveTombstoneCompaction) {
   index.epochs().try_reclaim();
 }
 
-TEST(InterestIndexTest, EquivalenceCandidatesGroupByFingerprint) {
-  InterestIndex index;
-  const SubscriberId sub = index.add_subscriber();
-  const InternedName a = intern("simidx.fp.A");
-  const InternedName b = intern("simidx.fp.B");
-  const InternedName c = intern("simidx.fp.C");
-  index.add_interest(sub, a, 0xAAAA);
-  index.add_interest(sub, b, 0xAAAA);  // same structure, different name
-  index.add_interest(sub, c, 0xCCCC);
-
-  std::vector<InternedName> candidates;
-  ASSERT_EQ(index.equivalence_candidates(0xAAAA, candidates), 2u);
-  EXPECT_EQ(candidates, (std::vector<InternedName>{a, b}));
-  candidates.clear();
-  EXPECT_EQ(index.equivalence_candidates(0xBBBB, candidates), 0u);
-
-  // The bucket empties when its last interest goes.
-  index.remove_interest(sub, a);
-  index.remove_interest(sub, b);
-  candidates.clear();
-  EXPECT_EQ(index.equivalence_candidates(0xAAAA, candidates), 0u);
-}
-
 TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   InterestIndex index;
   const InternedName x = intern("simidx.union.X");
@@ -228,6 +207,78 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
                 [&](const InterestEntry& e) { return e.interest == y; }, out, scratch),
             2u);
   EXPECT_EQ(out, (std::vector<SubscriberId>{s0, s1}));
+}
+
+// Bounded fan-out against its definition: the `limit` lowest distinct ids
+// of the sorted union. Random indexes put subscribers under several
+// accepted interests (duplicates across posting lists), leave tombstones
+// behind remove_subscriber/remove_interest, and re-subscribe LIFO-reused
+// ids at the tails of the posting lists, so lists are far from sorted.
+TEST(InterestIndexTest, BoundedCollectMatchesEqualsSortUniqueTruncate) {
+  constexpr int kInterests = 6;
+  std::vector<InternedName> names;
+  for (int i = 0; i < kInterests; ++i) {
+    names.push_back(intern("simidx.bounded.T" + std::to_string(i)));
+  }
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    InterestIndex index;
+    const auto subscribe_randomly = [&](SubscriberId sub) {
+      for (int i = 0; i < kInterests; ++i) {
+        if (rng.next_bool(0.4)) index.add_interest(sub, names[i], i);
+      }
+    };
+    std::vector<SubscriberId> live;
+    const std::size_t population = 50 + rng.next_below(500);
+    for (std::size_t k = 0; k < population; ++k) {
+      live.push_back(index.add_subscriber());
+      subscribe_randomly(live.back());
+    }
+    // Churn: tombstones, then LIFO reuse of the freed ids.
+    for (std::size_t k = 0; k < population / 3; ++k) {
+      const std::size_t at = rng.next_below(live.size());
+      index.remove_subscriber(live[at]);
+      live[at] = live.back();
+      live.pop_back();
+    }
+    for (const SubscriberId sub : live) {
+      if (rng.next_bool(0.2)) index.remove_interest(sub, names[rng.next_below(kInterests)]);
+    }
+    for (std::size_t k = 0; k < population / 4; ++k) {
+      live.push_back(index.add_subscriber());
+      subscribe_randomly(live.back());
+    }
+
+    std::vector<bool> accepted(kInterests);
+    for (int i = 0; i < kInterests; ++i) accepted[i] = rng.next_bool(0.6);
+    const auto accept = [&](const InterestEntry& e) {
+      for (int i = 0; i < kInterests; ++i) {
+        if (e.interest == names[i]) return static_cast<bool>(accepted[i]);
+      }
+      return false;
+    };
+    std::vector<SubscriberId> reference;
+    for (int i = 0; i < kInterests; ++i) {
+      if (accepted[i]) index.collect_subscribers(names[i], reference);
+    }
+    std::sort(reference.begin(), reference.end());
+    reference.erase(std::unique(reference.begin(), reference.end()), reference.end());
+
+    std::vector<SubscriberId> out;
+    std::vector<InternedName> scratch;
+    ASSERT_EQ(index.collect_matches(accept, out, scratch), reference.size());
+    EXPECT_EQ(out, reference) << "seed " << seed << " unbounded";
+    const std::size_t n = reference.size();
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, std::size_t{17}, std::size_t{65}, n, n + 7,
+          InterestIndex::kMaxSelect, InterestIndex::kMaxSelect + 1}) {
+      const auto kept = static_cast<std::ptrdiff_t>(std::min(limit, n));
+      const std::vector<SubscriberId> expected(reference.begin(), reference.begin() + kept);
+      out.assign(3, 0);  // stale contents must be cleared
+      EXPECT_EQ(index.collect_matches(accept, out, scratch, limit), expected.size());
+      EXPECT_EQ(out, expected) << "seed " << seed << " limit " << limit << " of " << n;
+    }
+  }
 }
 
 // The TSan target: writers churn subscriptions on a shared index while
@@ -414,6 +465,36 @@ TEST(ScenarioEquivalence, InvertedIndexAndPerPeerScanProduceIdenticalRuns) {
   EXPECT_EQ(indexed.trace_digest, scanned.trace_digest);
   EXPECT_EQ(indexed.accept_digest, scanned.accept_digest);
   EXPECT_EQ(indexed.stats_digest, scanned.stats_digest);
+}
+
+// The same parity where the publisher itself is often among the lowest
+// fanout_cap + 1 subscribers the bounded fan-out keeps: one type group, so
+// every live peer matches every publish, and 40 peers with a cap of 4 put
+// the publisher inside the lowest five in ~1 publish in 8 (missing it in
+// all 300 has probability ~4e-18). Dropping it must leave cap targets.
+TEST(ScenarioEquivalence, IndexAndScanAgreeWhenThePublisherIsAmongTheLowest) {
+  ScenarioScript script;
+  script.publish_storm(150).churn(10, 6).publish_storm(150);
+  ScenarioConfig config;
+  config.seed = 41;
+  config.peers = 40;
+  config.types = 4;
+  config.type_groups = 1;
+  for (const std::size_t cap : {std::size_t{4}, std::size_t{64}}) {
+    config.fanout_cap = cap;
+    config.use_inverted_index = true;
+    const ScenarioResult indexed = sim::run_scenario(config, script);
+    config.use_inverted_index = false;
+    const ScenarioResult scanned = sim::run_scenario(config, script);
+    EXPECT_EQ(indexed.trace_digest, scanned.trace_digest) << "cap " << cap;
+    EXPECT_EQ(indexed.accept_digest, scanned.accept_digest) << "cap " << cap;
+    EXPECT_EQ(indexed.stats_digest, scanned.stats_digest) << "cap " << cap;
+    // Every publish reaches min(cap, live peers - 1) targets: 40 live in
+    // the first storm, 36 after the churn.
+    EXPECT_EQ(indexed.stats.deliveries,
+              150 * std::min<std::size_t>(cap, 39) + 150 * std::min<std::size_t>(cap, 35))
+        << "cap " << cap;
+  }
 }
 
 TEST(ScenarioEquivalence, SessionModeAgreesWhileWireCostCollapses) {

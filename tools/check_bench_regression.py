@@ -74,6 +74,14 @@ RATIO_BELOW = [
     # cold protocol (deterministic counters — the bound is exact).
     ("BENCH_scale.json", "BM_ScenarioPublishStorm/16000/3",
      "BM_ScenarioPublishStorm/16000/0", "net_bytes", 1.0),
+    # Megasim CPU: the batched-session storm against the optimistic one.
+    # Once fan-out stopped sorting the subscriber union and the batch flush
+    # and session state stopped allocating per pair and hashing peer names,
+    # 16 repetitions on a 4-vCPU VM read 0.94-1.45 (median 1.08 at
+    # min_time 0.2, 1.37 at smoke min_time); sorting the union read
+    # 1.11-1.86. The bound sits ~20% over the highest reading.
+    ("BENCH_scale.json", "BM_ScenarioPublishStorm/16000/3",
+     "BM_ScenarioPublishStorm/16000/0", "real_time", 1.75),
 ]
 
 failures = []
